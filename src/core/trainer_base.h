@@ -2,7 +2,7 @@
 // same code path and expose one checkpoint/epoch contract.
 //
 // TrainerBase holds everything task-independent — config, RNG, the stage-3
-// compute handle, the in-epoch pipeline controller, and the model — and
+// compute handle, the gradient-exchange seam, and the model — and
 // implements TrainEpoch (epoch counting + auto-checkpoint), SaveCheckpoint, and
 // ResumeFrom once. Derived trainers implement TrainEpochImpl plus the checkpoint
 // extra-section hooks (the link-prediction embedding table; node classification
@@ -10,6 +10,7 @@
 #ifndef SRC_CORE_TRAINER_BASE_H_
 #define SRC_CORE_TRAINER_BASE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "src/core/config.h"
 #include "src/core/model.h"
 #include "src/graph/graph.h"
-#include "src/pipeline/pipeline_controller.h"
 #include "src/util/compute.h"
 #include "src/util/rng.h"
 #include "src/util/rv_monitor.h"
@@ -28,6 +28,17 @@ namespace mariusgnn {
 
 class EmbeddingStore;
 class PartitionBuffer;
+
+// Shared-storage initialisation fence (docs/DISTRIBUTED.md). `open(create)`
+// builds a PartitionBuffer over the backing file: create = true truncates it and
+// writes the initial image, create = false attaches to the image already there.
+// When `shared` (world > 1 over one explicit storage.dir), rank 0 alone creates
+// and then enters exchange->Barrier(); every other rank enters the Barrier first
+// and only then attaches, so no rank can truncate or rewrite the file under
+// another rank's reads. Otherwise every rank creates its own private file.
+std::unique_ptr<PartitionBuffer> OpenPartitionBuffer(
+    GradientExchange* exchange, bool shared,
+    const std::function<std::unique_ptr<PartitionBuffer>(bool create)>& open);
 
 class TrainerBase {
  public:
@@ -66,7 +77,7 @@ class TrainerBase {
 
  protected:
   // Builds the ModelState (validating the config for `kind`) and the shared
-  // compute/controller wiring. Derived ctors add task storage on top; any RNG
+  // compute/exchange wiring. Derived ctors add task storage on top; any RNG
   // draws they make come after the model's, preserving historical draw order.
   TrainerBase(const Graph* graph, TrainingConfig config, TaskKind kind);
 
@@ -96,6 +107,12 @@ class TrainerBase {
   // private storage, or in-memory mode).
   void SharedWritebackBarrier(PartitionBuffer* buffer);
 
+  // True when several replicas train over one explicitly shared storage.dir
+  // (with an empty dir every rank keeps a private temp file).
+  bool shared_storage() const {
+    return replica_.world > 1 && !config_.storage.dir.empty();
+  }
+
   // Checkpoint extension hooks: extra sections after the model-parameter
   // sections (order and count must agree between the three). Append pushes
   // CheckpointSectionSpec producers (shapes known up front, payloads streamed
@@ -114,8 +131,6 @@ class TrainerBase {
   // EpochStats.compute_parallel_efficiency.
   ComputeStats compute_stats_;
   ComputeContext compute_;
-  // In-epoch pipeline controller (see pipeline_controller.h).
-  PipelineController controller_;
 
   // Gradient-exchange seam (src/comm/): LocalExchange identity for world=1,
   // ProcessGroupExchange for multi-replica runs. Built in the ctor, so a

@@ -6,8 +6,9 @@
 
 namespace mariusgnn {
 
-SimulatedDisk::SimulatedDisk(const std::string& path, DiskModel model, bool direct_io)
-    : file_(path, /*truncate=*/true), model_(model) {
+SimulatedDisk::SimulatedDisk(const std::string& path, DiskModel model, bool direct_io,
+                             bool truncate)
+    : file_(path, truncate), model_(model) {
   if (direct_io) {
     // Opened after the buffered descriptor created the file; null means the
     // filesystem refused O_DIRECT and every transfer stays buffered.

@@ -71,8 +71,10 @@ struct DiskStats {
 
 class SimulatedDisk {
  public:
+  // `truncate` = false opens an existing file as is (another process may own
+  // its contents).
   SimulatedDisk(const std::string& path, DiskModel model = DiskModel(),
-                bool direct_io = false);
+                bool direct_io = false, bool truncate = true);
 
   // Thread-safe; return the modeled seconds charged for this operation.
   double Read(void* dst, size_t bytes, uint64_t offset);

@@ -30,7 +30,7 @@ std::string DirName(const std::string& path) {
 PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
                                  int32_t capacity, const std::string& path,
                                  DiskModel model, bool learnable, const Tensor* init,
-                                 PartitionIoOptions io)
+                                 PartitionIoOptions io, bool write_image)
     : partitioning_(partitioning),
       dim_(dim),
       capacity_(capacity),
@@ -48,7 +48,8 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
   // O_DIRECT is only worth probing when the engine will issue aligned transfers;
   // the synchronous path reads exact payloads and stays buffered regardless.
   const bool direct = io.async && io.direct_io && ProbeDirectIo(DirName(path));
-  disk_ = std::make_unique<SimulatedDisk>(path, model, direct);
+  disk_ = std::make_unique<SimulatedDisk>(path, model, direct,
+                                          /*truncate=*/write_image);
 
   values_ = AlignedBuffer(static_cast<size_t>(capacity_) * max_partition_rows_ * dim_);
   if (learnable_) {
@@ -61,8 +62,26 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
     dirty_[static_cast<size_t>(slot)].store(0, std::memory_order_relaxed);
   }
 
+  if (write_image) {
+    WriteInitialImage(init);
+  }
+
+  if (io.async) {
+    arena_ = std::make_unique<IoArena>(partition_extent_,
+                                       ArenaSlots(capacity_, io.queue_depth));
+    IoEngineOptions eo;
+    eo.queue_depth = io.queue_depth;
+    eo.coalesce_writes = io.coalesce_writes;
+    eo.max_transfer_bytes = io.max_transfer_bytes;
+    eo.before_io = io.before_io;
+    engine_ = std::make_unique<IoEngine>(disk_.get(), eo);
+  }
+}
+
+void PartitionBuffer::WriteInitialImage(const Tensor* init) {
   // Seed the on-disk layout: each partition owns a fixed extent of
   // kIoAlignment-padded streams (values, then optional Adagrad state).
+  const int32_t p = partitioning_->num_partitions();
   disk_->Resize(static_cast<uint64_t>(p) * partition_extent_);
   std::vector<float> scratch(static_cast<size_t>(max_partition_rows_) * dim_, 0.0f);
   for (int32_t part = 0; part < p; ++part) {
@@ -80,17 +99,6 @@ PartitionBuffer::PartitionBuffer(const Partitioning* partitioning, int64_t dim,
   }
   // Adagrad state starts at zero; Resize already zero-filled it.
   disk_->ResetStats();
-
-  if (io.async) {
-    arena_ = std::make_unique<IoArena>(partition_extent_,
-                                       ArenaSlots(capacity_, io.queue_depth));
-    IoEngineOptions eo;
-    eo.queue_depth = io.queue_depth;
-    eo.coalesce_writes = io.coalesce_writes;
-    eo.max_transfer_bytes = io.max_transfer_bytes;
-    eo.before_io = io.before_io;
-    engine_ = std::make_unique<IoEngine>(disk_.get(), eo);
-  }
 }
 
 PartitionBuffer::~PartitionBuffer() {

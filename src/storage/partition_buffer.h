@@ -74,9 +74,13 @@ class PartitionBuffer {
   // `learnable` adds a parallel Adagrad accumulator stream persisted next to the
   // values. `init` seeds the on-disk values (rows indexed by global node id); pass
   // nullptr to zero-initialise. `io` selects synchronous or engine-backed IO.
+  // `write_image` = false attaches to a backing file whose initial image another
+  // process already wrote (shared storage): the file is neither truncated nor
+  // written, and `init` is ignored.
   PartitionBuffer(const Partitioning* partitioning, int64_t dim, int32_t capacity,
                   const std::string& path, DiskModel model, bool learnable,
-                  const Tensor* init, PartitionIoOptions io = PartitionIoOptions());
+                  const Tensor* init, PartitionIoOptions io = PartitionIoOptions(),
+                  bool write_image = true);
   ~PartitionBuffer();
 
   PartitionBuffer(const PartitionBuffer&) = delete;
@@ -221,6 +225,8 @@ class PartitionBuffer {
     float* extent = nullptr;
   };
 
+  // Sizes the backing file and writes `init` (or zeros) as its initial image.
+  void WriteInitialImage(const Tensor* init);
   uint64_t PartitionFileOffset(int32_t partition) const;
   // Bytes of one stream's payload for `partition` (actual rows, no padding).
   size_t StreamPayloadBytes(int32_t partition) const;

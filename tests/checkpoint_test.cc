@@ -34,7 +34,7 @@ Checkpoint SampleCheckpoint() {
   for (int i = 0; i < 4; ++i) {
     ck.rng_state[i] = 0x1111111111111111ULL * (i + 1);
   }
-  ck.scalars.emplace_back("controller_workers", 2);
+  ck.scalars.emplace_back("determinism_hash", 2);
   Tensor a(3, 4);
   for (int64_t i = 0; i < a.size(); ++i) {
     a.data()[i] = static_cast<float>(i) * 0.5f;
@@ -70,7 +70,7 @@ TEST(Checkpoint, RoundTripPreservesEverything) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(loaded.rng_state[i], saved.rng_state[i]);
   }
-  EXPECT_EQ(loaded.scalar("controller_workers", -1), 2);
+  EXPECT_EQ(loaded.scalar("determinism_hash", -1), 2);
   EXPECT_EQ(loaded.scalar("absent", -1), -1);
   ASSERT_EQ(loaded.tensors.size(), saved.tensors.size());
   const Tensor& a = loaded.tensor("param0.value");
@@ -390,7 +390,6 @@ TrainingConfig SerialDiskLpConfig() {
   config.num_negatives = 32;
   config.pipeline.enabled = false;
   config.pipeline.parallel_compute = false;
-  config.pipeline.adaptive_workers = false;
   config.storage.use_disk = true;
   config.storage.num_physical = 8;
   config.storage.num_logical = 4;
@@ -440,6 +439,53 @@ TEST(CheckpointCrash, KillAndResumeProducesIdenticalTrajectory) {
   EXPECT_EQ(resumed.epochs_completed(), 2);
   const double resumed_epoch3 = resumed.TrainEpoch().loss;
   EXPECT_EQ(resumed_epoch3, want_losses[2]);
+  EXPECT_EQ(resumed.EvaluateMrr(50, 100), want_mrr);
+  std::remove(ckpt.c_str());
+}
+
+// Checkpoints written while the trainers still had an adaptive pipeline
+// controller carry two more manifest scalars, "controller_workers" and
+// "controller_cooldown". Readers ignore scalars they do not know, so such a file
+// must still resume bit-exactly.
+TEST(CheckpointCrash, LegacyControllerScalarsAreIgnoredOnResume) {
+  Graph g = Fb15k237Like(0.03);
+  const TrainingConfig config = SerialDiskLpConfig();
+
+  std::vector<double> want_losses;
+  uint64_t want_hash = 0;
+  double want_mrr = 0.0;
+  {
+    LinkPredictionTrainer trainer(&g, config);
+    for (int e = 0; e < 2; ++e) {
+      want_losses.push_back(trainer.TrainEpoch().loss);
+    }
+    want_hash = trainer.last_determinism_hash();
+    want_mrr = trainer.EvaluateMrr(50, 100);
+  }
+
+  const std::string ckpt = TempPath("mgnn_legacy_scalars_ckpt");
+  {
+    LinkPredictionTrainer trainer(&g, config);
+    trainer.TrainEpoch();
+    trainer.SaveCheckpoint(ckpt);
+  }
+  // Rewrite the snapshot with the legacy scalars added to its manifest.
+  Checkpoint legacy;
+  std::string error;
+  ASSERT_TRUE(LoadCheckpoint(ckpt, &legacy, &error)) << error;
+  legacy.scalars.emplace_back("controller_workers", 3);
+  legacy.scalars.emplace_back("controller_cooldown", 1);
+  SaveCheckpoint(legacy, ckpt);
+  Checkpoint reread;
+  ASSERT_TRUE(LoadCheckpoint(ckpt, &reread, &error)) << error;
+  EXPECT_EQ(reread.scalar("controller_workers", -1), 3);
+  EXPECT_EQ(reread.scalar("controller_cooldown", -1), 1);
+
+  LinkPredictionTrainer resumed(&g, config);
+  resumed.ResumeFrom(ckpt);
+  EXPECT_EQ(resumed.epochs_completed(), 1);
+  EXPECT_EQ(resumed.TrainEpoch().loss, want_losses[1]);
+  EXPECT_EQ(resumed.last_determinism_hash(), want_hash);
   EXPECT_EQ(resumed.EvaluateMrr(50, 100), want_mrr);
   std::remove(ckpt.c_str());
 }
@@ -545,7 +591,6 @@ TrainingConfig SerialNcConfig(bool use_disk) {
   config.weight_lr = 0.05f;
   config.pipeline.enabled = false;
   config.pipeline.parallel_compute = false;
-  config.pipeline.adaptive_workers = false;
   if (use_disk) {
     config.storage.use_disk = true;
     config.storage.num_physical = 16;

@@ -7,6 +7,8 @@
 //  - ProcessGroupExchange: 2- and 4-process fork harnesses assert every
 //    replica ends every epoch with the identical determinism hash, and a
 //    dropped connection aborts the survivor before any partial apply.
+//  - Shared-storage init: rank 0 alone creates a shared backing file and
+//    writes its initial image; followers attach to it without truncating.
 //  - PartitionBuffer ownership: dirty evictions of unowned partitions skip
 //    their write-back (the shared-storage multi-replica contract).
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +33,7 @@
 #include "src/comm/process_group_exchange.h"
 #include "src/core/link_prediction_trainer.h"
 #include "src/core/node_classification_trainer.h"
+#include "src/core/trainer_base.h"
 #include "src/data/datasets.h"
 #include "src/graph/partition.h"
 #include "src/storage/partition_buffer.h"
@@ -235,8 +239,10 @@ int TrainLpReplicaSharedDisk(const ReplicaOptions& replica,
   return out.good() ? 0 : 4;
 }
 
+// A non-empty `shared_dir` trains out of core over one features.bin shared by
+// every replica.
 int TrainNcReplica(const ReplicaOptions& replica, int epochs,
-                   const std::string& out_path) {
+                   const std::string& out_path, const std::string& shared_dir = "") {
   Graph g = PapersMini(0.05);
   TrainingConfig config;
   config.fanouts = {10, 5};
@@ -245,6 +251,12 @@ int TrainNcReplica(const ReplicaOptions& replica, int epochs,
   config.num_negatives = 0;
   config.pipeline.enabled = false;
   config.weight_lr = 0.05f;
+  if (!shared_dir.empty()) {
+    config.storage.use_disk = true;
+    config.storage.num_physical = 16;
+    config.storage.buffer_capacity = 8;
+    config.storage.dir = shared_dir;
+  }
   config.replica = replica;
   NodeClassificationTrainer trainer(&g, config);
   std::ofstream out(out_path);
@@ -353,6 +365,66 @@ TEST(ProcessGroupExchange, TwoReplicasAgreeOnASharedStorageDir) {
   std::remove((dir + "/ckpt").c_str());
   std::remove((dir + "/embeddings.bin").c_str());
   ::rmdir(dir.c_str());
+}
+
+TEST(ProcessGroupExchange, TwoNcReplicasAgreeOnASharedStorageDir) {
+  // Node classification reads its features out of core from one shared
+  // features.bin; rank 0 alone writes the file's initial image.
+  const std::string dir = TempPath("comm_shared_nc_dir");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  RunReplicasAndExpectAgreement(
+      2, 2, [&dir](const ReplicaOptions& replica, const std::string& out) {
+        return TrainNcReplica(replica, 2, out, dir);
+      });
+  std::remove((dir + "/features.bin").c_str());
+  ::rmdir(dir.c_str());
+}
+
+// Child body for the shared-storage init fence: both ranks open one shared
+// table through OpenPartitionBuffer, each offering its OWN initial image (every
+// cell = rank + 1). Rank 1 calls Barrier() once more before opening and rank 0
+// once more after, so rank 1 opens only after rank 0 has finished opening,
+// whether or not OpenPartitionBuffer fences. Once every rank has opened, both
+// must read rank 0's image: a follower that truncated and rewrote the file
+// would leave its own 2s behind for both ranks. Exit codes: 0 ok, 7 a rank read
+// an image other than rank 0's.
+int OpenSharedTable(const ReplicaOptions& replica, const std::string& path) {
+  Graph graph = LiveJournalMini(0.01);
+  Rng rng(1);
+  Partitioning partitioning(graph, 4, PartitionAssignment::kRandom, rng);
+  const Tensor init =
+      Tensor::Full(graph.num_nodes(), 4, static_cast<float>(replica.rank + 1));
+  ProcessGroupExchange exchange(replica);
+  if (replica.rank != 0) {
+    exchange.Barrier();  // arrive late: rank 0 has opened the table
+  }
+  std::unique_ptr<PartitionBuffer> buffer =
+      OpenPartitionBuffer(&exchange, /*shared=*/true, [&](bool create) {
+        return std::make_unique<PartitionBuffer>(
+            &partitioning, 4, 2, path, DiskModel(), /*learnable=*/false, &init,
+            PartitionIoOptions(), /*write_image=*/create);
+      });
+  if (replica.rank == 0) {
+    exchange.Barrier();
+  }
+  exchange.Barrier();  // every rank has opened the table
+  const Tensor table = buffer->ExportAll();
+  for (int64_t i = 0; i < table.size(); ++i) {
+    if (table.data()[i] != 1.0f) {
+      return 7;
+    }
+  }
+  return 0;
+}
+
+TEST(SharedStorageInit, LateFollowerAttachesToRankZeroImage) {
+  const std::string path = TempPath("comm_shared_table");
+  // No per-epoch lines: the children's exit codes carry the verdict.
+  RunReplicasAndExpectAgreement(
+      2, 0, [&path](const ReplicaOptions& replica, const std::string&) {
+        return OpenSharedTable(replica, path);
+      });
+  std::remove(path.c_str());
 }
 
 TEST(ProcessGroupExchange, FourReplicasAgreeOnEveryEpochHash) {
